@@ -89,20 +89,13 @@ def main():
                         default=[w["name"] for w in config["workloads"]])
     parser.add_argument("--label", default="latest")
     parser.add_argument("--write-readme", action="store_true")
-    parser.add_argument("--replay", action="store_true",
-                        help="re-render the saved results of --label instead of running")
     args = parser.parse_args()
     saved = os.path.join(ROOT, ".bench_build", "steady-%s.json" % args.label)
 
     results = {w: [] for w in args.workloads}
     host = {}
     started = time.strftime("%Y-%m-%d %H:%M UTC", time.gmtime())
-    if args.replay:
-        data = json.load(open(saved))
-        host, started, results = data["host"], data["started"], data["results"]
-        args.runs = len(next(iter(results.values())))
-        args.seed_base = data.get("seed_base", args.seed_base)
-    for r in range(0 if args.replay else args.runs):
+    for r in range(args.runs):
         shift = r % len(args.workloads)
         for workload in args.workloads[shift:] + args.workloads[:shift]:
             seed = args.seed_base + r
